@@ -1,0 +1,12 @@
+"""Put the program sources and the benchmark modules on the path.
+
+Run with ``python -m pytest dpsbench/tests`` from the checkout root.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
