@@ -276,6 +276,38 @@ def _run_build(small: bool = False, check: bool = False) -> bool:
     return True
 
 
+def _run_manysource(small: bool = False, check: bool = False) -> bool:
+    """Many-source kernel microbenchmark; returns False when the kernel
+    misses its speedup floor over the per-source loop (the ``--check``
+    CI guard)."""
+    from repro.bench.experiments.manysource import (
+        MANYSOURCE_CHECK_RATIO,
+        MANYSOURCE_EPSILONS,
+        MANYSOURCE_REPEATS,
+        run_manysource,
+        speedup,
+    )
+    measures = run_manysource(
+        epsilons=MANYSOURCE_EPSILONS[:1] if small else MANYSOURCE_EPSILONS,
+        repeats=2 if small else MANYSOURCE_REPEATS)
+    ratio = speedup(measures)
+    _emit("manysource", render_table(
+        f"Many-source kernel microbenchmark -- BL-Q rounds on"
+        f" {measures[0].dataset} windows (kernel/reference speedup"
+        f" {ratio:.2f}x)",
+        ["loop", "windows", "|Q| total", "settled", "median (s)",
+         "settled/s"],
+        [[m.loop, m.windows, m.query_vertices, m.vertices_settled,
+          round(m.seconds, 4), round(m.settled_per_second)]
+         for m in measures]))
+    if check and ratio < MANYSOURCE_CHECK_RATIO:
+        print(f"FAIL: many-source kernel is below"
+              f" {MANYSOURCE_CHECK_RATIO}x the per-source loop"
+              f" (speedup {ratio:.2f}x)", file=sys.stderr)
+        return False
+    return True
+
+
 def _run_throughput(small: bool = False, inject: bool = False,
                     arrival_rate: Optional[float] = None,
                     requests: Optional[int] = None) -> None:
@@ -360,11 +392,13 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "bridges": _run_bridges,
     "sweep": _run_sweep,
     "build": _run_build,
+    "manysource": _run_manysource,
     "throughput": _run_throughput,
 }
 
 #: Experiments that take ``check=`` and gate the exit status.
-CHECKED_EXPERIMENTS = ("sssp", "bridges", "sweep", "build")
+CHECKED_EXPERIMENTS = ("sssp", "bridges", "sweep", "build",
+                       "manysource")
 
 
 def main(argv: List[str]) -> int:

@@ -500,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " (.gr/.co/.vertices appended)")
     query.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
-                       help="SSSP kernel (identical answers with every"
+                       help="SSSP kernel of BL-E and RoadPart; BL-Q"
+                            " and hull always run the many-source"
+                            " kernel (identical answers with every"
                             " engine; numpy needs the 'vec' extra and"
                             " falls back to flat with a notice)")
     query.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
@@ -545,8 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " none")
     serve.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
-                       help="SSSP kernel (identical answers with every"
-                            " engine; numpy needs the 'vec' extra)")
+                       help="SSSP kernel of BL-E and RoadPart answers"
+                            " (identical answers with every engine;"
+                            " numpy needs the 'vec' extra)")
     serve.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
                        default="auto",
                        help="bridge-domain oracle policy; part of every"

@@ -27,8 +27,9 @@ copy-on-write by forked index-build workers.
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.shortestpath.arena import ArenaPool, SearchArena
 
@@ -50,7 +51,7 @@ class CSRGraph:
 
     __slots__ = ("num_vertices", "num_arcs", "indptr", "targets",
                  "weights", "indptr_list", "targets_list", "weights_list",
-                 "_pool", "_vec")
+                 "_pool", "_vec", "_goal_coords")
 
     def __init__(self, indptr: array, targets: array,
                  weights: array) -> None:
@@ -64,6 +65,7 @@ class CSRGraph:
         self.weights_list = weights.tolist()
         self._pool = ArenaPool(self.num_vertices)
         self._vec = None
+        self._goal_coords = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Sequence[Tuple[int, float]]],
@@ -131,6 +133,37 @@ class CSRGraph:
             delta = float(weights.mean()) if self.num_arcs else 1.0
             self._vec = (indptr, targets, weights, max(delta, 1e-9))
         return self._vec
+
+    # ------------------------------------------------------------------
+    # Goal direction (see repro.shortestpath.manysource)
+    # ------------------------------------------------------------------
+
+    def goal_coords(self, coords: Sequence[Sequence[float]],
+                    ) -> Optional[Tuple[List[float], List[float]]]:
+        """``(xs, ys)`` of ``coords`` when every arc is metric, else None.
+
+        An arc is metric when ``w >= ‖uv‖`` and ``w > 0``: then the
+        Euclidean distance to any point set, shrunk by a small margin,
+        is a consistent A* potential with strictly positive reduced
+        costs.  ``coords`` must be the coordinates of the network this
+        CSR was built from.  Checked once per CSR (one pass over the
+        arcs) and cached; pickled copies check again.
+        """
+        if self._goal_coords is None:
+            xs = [p[0] for p in coords]
+            ys = [p[1] for p in coords]
+            indptr = self.indptr_list
+            targets = self.targets_list
+            weights = self.weights_list
+            hypot = math.hypot
+            metric = all(
+                weights[k] > 0.0
+                and weights[k] >= hypot(xs[u] - xs[targets[k]],
+                                        ys[u] - ys[targets[k]])
+                for u in range(self.num_vertices)
+                for k in range(indptr[u], indptr[u + 1]))
+            self._goal_coords = (xs, ys) if metric else False
+        return self._goal_coords or None
 
     # ------------------------------------------------------------------
 

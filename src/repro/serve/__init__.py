@@ -292,17 +292,22 @@ def _answer_one(algorithm: str, network: RoadNetwork,
                 faults: Optional[FaultPlan] = None,
                 qindex: Optional[int] = None,
                 oracle: str = "auto",
+                arrived: Optional[float] = None,
                 ) -> Tuple[Union[DPSResult, QueryFailure],
                            Optional[QueryStats], Optional[str]]:
     """Answer a single query; per-query failures never escape.
 
     Returns ``(result_or_failure, stats, fallback_used)``.  With a
     deadline, each algorithm of the cascade ``[algorithm, *fallback]``
-    gets a *fresh* budget; a blown budget moves down the cascade, any
-    other exception fails the query immediately (a deterministic error
-    would recur under every algorithm's input validation, and a genuine
-    bug should surface, not be papered over).  ``stats`` describe the
-    attempt that produced the returned result or failure.
+    gets a *fresh* budget -- except the first, whose budget counts from
+    ``arrived`` (a ``time.monotonic()`` reading) when given, so time a
+    request spent queued is charged to it.  An attempt whose budget is
+    already spent does not start.  A blown budget moves down the
+    cascade, any other exception fails the query immediately (a
+    deterministic error would recur under every algorithm's input
+    validation, and a genuine bug should surface, not be papered
+    over).  ``stats`` describe the attempt that produced the returned
+    result or failure.
     """
     cascade = [algorithm, *fallback]
     started = time.perf_counter()
@@ -311,11 +316,17 @@ def _answer_one(algorithm: str, network: RoadNetwork,
     last_algo = algorithm
     for attempt, algo in enumerate(cascade):
         qstats = QueryStats() if want_stats else None
-        deadline = (Deadline.after(deadline_s)
-                    if deadline_s is not None else None)
+        if deadline_s is None:
+            deadline = None
+        elif attempt == 0 and arrived is not None:
+            deadline = Deadline(arrived + deadline_s, budget=deadline_s)
+        else:
+            deadline = Deadline.after(deadline_s)
         try:
             if attempt == 0 and faults is not None and qindex is not None:
                 faults.on_query(qindex)
+            if deadline is not None:
+                deadline.check()
             result = _dispatch(algo, network, index, query, engine,
                                qstats, deadline, oracle=oracle)
             return result, qstats, (algo if attempt > 0 else None)

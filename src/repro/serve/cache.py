@@ -76,12 +76,19 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple[Hashable, ...]) -> Optional[bytes]:
-        """Return the cached answer bytes, bumping recency, or None."""
+    def get(self, key: Tuple[Hashable, ...],
+            count_miss: bool = True) -> Optional[bytes]:
+        """Return the cached answer bytes, bumping recency, or None.
+
+        ``count_miss=False`` leaves a miss uncounted: the daemon's
+        first look is provisional, and it counts the miss only when it
+        looks again under its compute lock and then computes.
+        """
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

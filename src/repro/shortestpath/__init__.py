@@ -6,8 +6,7 @@ the road network:
 - :mod:`repro.shortestpath.heap` -- an addressable binary heap with
   decrease-key, the priority queue behind every search.
 - :mod:`repro.shortestpath.dijkstra` -- single-source shortest paths with
-  target-set and radius early termination (BL-Q, BL-E, the convex hull
-  method).
+  target-set and radius early termination (BL-E, RoadPart).
 - :mod:`repro.shortestpath.astar` -- point-to-point A* with the Euclidean
   lower-bound heuristic [13] (cut computation, the Section VII-C
   experiment).
@@ -18,6 +17,10 @@ the road network:
 - :mod:`repro.shortestpath.flat` -- the array-based CSR kernel behind
   every hot sweep: :class:`FlatDijkstraSearch` plus the fused dual-heap
   loops ``flat_bridge_domains`` / ``flat_bidirectional_ppsp``.
+- :mod:`repro.shortestpath.manysource` -- the goal-directed
+  many-source kernel behind BL-Q and the convex hull: A* toward the
+  targets' bounding box with Dijkstra's tie order, each Q-DPS pair
+  served once.
 - :mod:`repro.shortestpath.paths` -- predecessor-tree path reconstruction
   and the ``O(|E|)`` vertex-collection routine of Section III-A.
 - :mod:`repro.shortestpath.dense` -- the array-based A* of the paper's

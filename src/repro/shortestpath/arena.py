@@ -34,7 +34,9 @@ class SearchArena:
       are only meaningful when ``touched[v] == generation``;
       ``settled[v] == generation`` marks the distance as final.
     - *all-inf invariant* (the flat kernel,
-      :mod:`repro.shortestpath.flat`): ``touched`` is unused; instead
+      :mod:`repro.shortestpath.flat`, and the many-source kernel,
+      :mod:`repro.shortestpath.manysource`, which stamps its targets in
+      ``touched``): ``touched`` plays no part in relaxation; instead
       every ``dist`` cell a search dirtied is restored to ``+inf``
       before the arena re-enters a pool, so ``candidate < dist[v]`` is
       the whole relaxation test.  Arenas start all-inf, so the invariant

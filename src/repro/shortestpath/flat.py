@@ -40,9 +40,12 @@ kernels -- :func:`flat_bridge_domains` and :func:`flat_bidirectional_ppsp`
 eliminating the per-pop ``next_key()``/``settle_next()`` method-call
 round-trips the dict formulation pays twice per settle.
 
-Engine selection: the DPS entry points take ``engine="flat"|"dict"`` and
-construct searches through :func:`make_search`; the dict engine remains
-fully supported (see docs/observability.md, "Engine selection").
+Engine selection: BL-E, RoadPart and the index build take
+``engine="flat"|"dict"|"numpy"`` and construct searches through
+:func:`make_search`; the dict engine remains fully supported (see
+docs/observability.md, "Engine selection").  BL-Q and the convex hull
+run the goal-directed loop of :mod:`repro.shortestpath.manysource`
+instead, which reuses this module's pooled arenas.
 """
 
 from __future__ import annotations

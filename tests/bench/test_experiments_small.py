@@ -106,6 +106,20 @@ class TestBridges:
         assert oracle_speedup(measures) > 0
 
 
+class TestManySource:
+    def test_loops_agree_and_measure(self):
+        from repro.bench.experiments.manysource import (run_manysource,
+                                                        speedup)
+        # run_manysource raises AssertionError when the kernel and the
+        # per-source loop collect different vertex sets.
+        measures = run_manysource("COL-S", epsilons=(0.2,), repeats=1)
+        by_loop = {m.loop: m for m in measures}
+        assert set(by_loop) == {"reference", "kernel"}
+        assert by_loop["kernel"].vertices_settled \
+            < by_loop["reference"].vertices_settled
+        assert speedup(measures) > 0
+
+
 class TestThroughput:
     def test_batch_answers_stable_across_jobs(self):
         from repro.bench.experiments.throughput import run_throughput

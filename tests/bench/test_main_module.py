@@ -13,12 +13,13 @@ class TestArguments:
         assert set(EXPERIMENTS) == {"table1", "fig10", "table2", "fig11",
                                     "sec7c", "ablations", "sssp",
                                     "bridges", "sweep", "build",
-                                    "throughput"}
+                                    "manysource", "throughput"}
 
     def test_checked_experiments_exist(self):
         from repro.bench.__main__ import CHECKED_EXPERIMENTS
         assert set(CHECKED_EXPERIMENTS) == {"sssp", "bridges",
-                                            "sweep", "build"}
+                                            "sweep", "build",
+                                            "manysource"}
         assert set(CHECKED_EXPERIMENTS) <= set(EXPERIMENTS)
 
     def test_registry_callables(self):
