@@ -336,11 +336,13 @@ def build_index(network: RoadNetwork, border_count: int,
     border_positions = select_borders(contour, border_count, border_method)
 
     step = time.perf_counter()
-    builder = RegionBuilder(network.num_vertices)
-    bridge_set = set(bridges)
-    cut_cache = CutCache(network, forbidden_edges=bridge_set, engine=engine)
-    flood_engine = FloodEngine(network, bridge_set, engine=engine)
+    # The span times what the stopwatch does, the engines' set-up too.
     with trace.span("labeling"):
+        builder = RegionBuilder(network.num_vertices)
+        bridge_set = set(bridges)
+        cut_cache = CutCache(network, forbidden_edges=bridge_set,
+                             engine=engine)
+        flood_engine = FloodEngine(network, bridge_set, engine=engine)
         if jobs > 1 and fork_available():
             rounds = run_parallel_labeling(network, contour,
                                            border_positions, bridge_set,
