@@ -4,23 +4,28 @@ The query-side sweep bench (:mod:`repro.bench.experiments.sweep`)
 gates the vectorized label *reads*; this experiment gates the build
 side -- the partial-PLL construction over the bridge endpoints that
 dominates ``--oracle hub`` index builds (fig10 records it at ~10s per
-row on EAST-S against a sub-2s partition build).  It times
-:meth:`~repro.shortestpath.oracle.HubOracle.build` twice over the same
-network and bridge set:
+row on EAST-S against a sub-2s partition build).  It times both
+builders over the same network and hub order (the one
+:func:`~repro.shortestpath.oracle.hub_groups` plans), calling each
+directly: :meth:`~repro.shortestpath.oracle.HubOracle.build` picks the
+batched one whenever the backend is up, so it cannot time the scalar
+one.
 
-- ``scalar``: the reference heap-based
+- ``scalar``: :func:`~repro.shortestpath.hub_labels.pruned_labeling`,
+  the reference heap-based
   :class:`~repro.shortestpath.hub_labels.HubLabelIndex` builder, one
   pruned Dijkstra per hub;
-- ``vec``: :class:`~repro.shortestpath.vec.VecHubLabeler` via
-  ``engine="numpy"`` -- each hub's pruned sweep a bucketed frontier
-  pass with bulk prune evaluation against the committed label arrays.
+- ``vec``: :func:`~repro.shortestpath.vec.vec_pruned_labeling`
+  (:class:`~repro.shortestpath.vec.VecHubLabeler`) -- each hub's
+  pruned sweep a bucketed frontier pass with bulk prune evaluation
+  against the committed label arrays.
 
 A warm-up pass builds both once and doubles as the correctness
-cross-check: the two oracles' ``to_payload()`` documents must be
-*equal* (same hubs, same offsets, same label entries bit for bit --
-the byte-identity contract of the vectorized builder) before anything
-is timed.  Timed repeats are interleaved (scalar, vec, scalar, vec,
-...) so machine-load drift cancels out of the ratio.
+cross-check: the two builders' typed label arrays must be *equal*
+(same offsets, same label entries bit for bit -- the byte-identity
+contract of the vectorized builder) before anything is timed.  Timed
+repeats are interleaved (scalar, vec, scalar, vec, ...) so
+machine-load drift cancels out of the ratio.
 
 ``python -m repro.bench build --check`` fails (exit 1) when the
 batched builder is below :data:`BUILD_CHECK_RATIO` x the scalar one.
@@ -77,33 +82,35 @@ def run_build(dataset: str = BUILD_DATASET,
         raise RuntimeError(
             "bench build needs the numpy backend (install the 'vec'"
             " extra or unset REPRO_VEC_DISABLE)")
-    from repro.shortestpath.oracle import HubOracle
+    from repro.shortestpath.hub_labels import pruned_labeling
+    from repro.shortestpath.oracle import hub_groups
+    from repro.shortestpath.vec import vec_pruned_labeling
 
     network = dataset_network(dataset)
     bridges = sorted(find_bridges(network))
     if not bridges:
         raise RuntimeError(
             f"bench build needs bridges; {dataset} has none")
-    hubs = {e for bridge in bridges for e in bridge}
+    hubs = [e for _, members in hub_groups(network, bridges)
+            for e in members]
     # Built once and cached, inherited by every build below: the CSR
     # (and its array views) are shared build infrastructure, not part
     # of either builder's cost.
     network.csr().vec_views()
+    builders = {"scalar": pruned_labeling, "vec": vec_pruned_labeling}
 
-    def one_build(kind: str) -> HubOracle:
-        engine = "numpy" if kind == "vec" else "flat"
-        return HubOracle.build(network, bridges, engine=engine)
+    def one_build(kind: str):
+        return builders[kind](network, hubs)
 
     # Warm-up doubles as the byte-identity cross-check: the batched
     # builder must reproduce the scalar labels exactly, or the speedup
     # is meaningless.
     ref = one_build("scalar")
-    vec = one_build("vec")
-    if vec.to_payload() != ref.to_payload():
+    if one_build("vec") != ref:
         raise AssertionError(
             "batched PLL builder disagrees with the scalar builder"
-            " (payloads differ)")
-    entries = ref.entry_count()
+            " (label arrays differ)")
+    entries = len(ref[1])
 
     samples = {"scalar": [], "vec": []}
     # Interleaved repeats: load drift hits both builders equally.

@@ -50,11 +50,10 @@ def run_fig10(dataset: str = FIG10_DATASET,
     hubs are the bridge endpoints), and folding it into the partition
     time would bury the ℓ trend the figure exists to show.
 
-    Builds run with ``engine="numpy"``: the shipped default for anyone
-    who installed the ``vec`` extra, and the engine the build-side
-    speedup gate (``bench build --check``) measures.  Without a backend
-    it quietly degrades to the scalar builders -- same index bytes,
-    scalar timings.  Each point is built ``repeats`` times; the
+    Builds run with ``engine="numpy"`` (the vectorized flood pass); the
+    oracle phase runs the batched PLL builder whenever the backend is
+    up, whatever the engine.  Without a backend both quietly degrade to
+    the scalar builders -- same index bytes, scalar timings.  Each point is built ``repeats`` times; the
     headline numbers are medians.
     """
     counts = border_counts or FIG10_BORDER_COUNTS

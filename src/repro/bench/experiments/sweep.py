@@ -8,7 +8,7 @@ bridge (min-plus over the shared hubs).  This experiment times that
 exact workload twice over the Table II EAST-S ε sweep:
 
 - ``dict``: the reference ``_HubScratch`` -- pure-Python loops over the
-  per-vertex label dicts;
+  per-vertex label segments, inverted into a hub-keyed dict bucket;
 - ``vec``: :class:`~repro.shortestpath.vec.VecHubScratch` -- the query
   bucket flattened once into ``(hub_offsets, target_ids, target_dists)``
   arrays, each endpoint sweep a single ``np.minimum.reduceat``

@@ -352,8 +352,7 @@ def _cmd_index_convert(args) -> int:
         from repro.shortestpath.oracle import build_oracle
         index.oracle = build_oracle(network, args.oracle,
                                     sorted(index.bridges),
-                                    region_of=index.regions.region_of,
-                                    engine=args.engine)
+                                    region_of=index.regions.region_of)
     # "keep": carry whatever the source file had (possibly nothing).
     fmt = args.format
     if fmt == "auto":
@@ -459,11 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
                        help="build kernels: A* for the cuts plus, with"
-                            " numpy, the vectorized flood pass and"
-                            " batched PLL oracle builder (byte-identical"
-                            " index with every engine; numpy needs the"
-                            " 'vec' extra and falls back to flat with a"
-                            " notice)")
+                            " numpy, the vectorized flood pass"
+                            " (byte-identical index with every engine;"
+                            " numpy needs the 'vec' extra and falls back"
+                            " to flat with a notice).  The hub-oracle"
+                            " builder is chosen by the array backend,"
+                            " not --engine")
     build.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
                        default="auto",
                        help="bridge-domain distance oracle to precompute"
@@ -593,11 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="oracle handling: keep the source's,"
                               " strip it, or build the named kind"
                               " (lifts a v1 file to v2)")
-    convert.add_argument("--engine", choices=list(ENGINES),
-                         default="flat",
-                         help="builder for --oracle hub (byte-identical"
-                              " output with every engine; numpy runs"
-                              " the batched PLL builder)")
     convert.set_defaults(func=_cmd_index_convert)
     info = index_sub.add_parser(
         "info", help="describe an index file without loading payloads")

@@ -68,12 +68,18 @@ silent forward compatibility: the loader raises
 
 Every structural defect raises
 :class:`~repro.errors.IndexFormatError` naming the path and the
-problem, mirroring the JSON loader's contract.  Binding to the wrong
-network is the caller's check (``num_vertices`` is in the header).
+problem, mirroring the JSON loader's contract; the hub-label sections'
+contents (offsets, hub ids, distances) are checked at load by
+:func:`repro.shortestpath.oracle.oracle_from_payload`.  Binding to the
+wrong network is the caller's check (``num_vertices`` is in the
+header).  The writer dumps a u32/f64 section held as a typed array (or
+a view of one) with a single buffer copy on little-endian hosts, and
+packs anything else value by value.
 """
 
 from __future__ import annotations
 
+import array
 import mmap
 import os
 import struct
@@ -116,7 +122,25 @@ def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
+def _native_buffer(values, code: str) -> Optional[memoryview]:
+    """A flat view of ``values`` when it is an :class:`array.array` or
+    ``memoryview`` of typecode ``code`` on a little-endian host -- its
+    bytes are then already the file layout -- else ``None``."""
+    if sys.byteorder != "little":
+        return None
+    if isinstance(values, array.array) and values.typecode == code:
+        view = memoryview(values)
+    elif isinstance(values, memoryview) and values.format == code:
+        view = values
+    else:
+        return None
+    return view if view.itemsize == struct.calcsize("<" + code) else None
+
+
 def _u32_bytes(values) -> bytes:
+    view = _native_buffer(values, "I")
+    if view is not None:
+        return view.tobytes()
     out = bytearray()
     for v in values:
         if not 0 <= v <= _U32_MAX:
@@ -126,6 +150,9 @@ def _u32_bytes(values) -> bytes:
 
 
 def _f64_bytes(values) -> bytes:
+    view = _native_buffer(values, "d")
+    if view is not None:
+        return view.tobytes()
     out = bytearray()
     for v in values:
         out += struct.pack("<d", v)
@@ -345,7 +372,6 @@ def _u32_view(path, data: memoryview, tag: bytes, offset: int,
         return view.cast("I")
     # Big-endian host: one byte-swapped copy (correctness over zero-copy
     # on the rare platform where the layout is foreign).
-    import array
     arr = array.array("I", view.tobytes())
     arr.byteswap()
     return arr
@@ -360,7 +386,6 @@ def _f64_view(path, data: memoryview, tag: bytes, offset: int,
     view = data[offset:offset + length]
     if sys.byteorder == "little":
         return view.cast("d")
-    import array
     arr = array.array("d", view.tobytes())
     arr.byteswap()
     return arr

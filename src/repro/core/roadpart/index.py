@@ -77,9 +77,10 @@ class IndexBuildStats:
     oracle_seconds: float = 0.0
     oracle_kind: str = "none"
     oracle_entries: int = 0
-    #: which hub-label builder ran: "scalar", "vectorized", or "" when
-    #: no oracle was built (the builders' outputs are byte-identical;
-    #: this records only which kernel did the work).
+    #: which oracle builder ran: "scalar", "vectorized" (the batched
+    #: hub-label builder, picked whenever the array backend is up), or
+    #: "" when no oracle was built (the builders' outputs are
+    #: byte-identical; this records only which kernel did the work).
     oracle_engine: str = ""
 
 
@@ -136,10 +137,10 @@ class RoadPartIndex:
             "bridges": sorted(list(k) for k in self.bridges),
         }
         if self.oracle is not None:
-            # ``to_payload`` rebuilds plain lists from either storage
-            # (dicts or mmap views); float distances survive JSON via
-            # repr round-tripping.  Absent for oracle-less indexes, so
-            # their JSON stays byte-identical to pre-oracle builds.
+            # The payload's typed arrays (or mmap views) are listed
+            # here; float distances survive JSON via repr
+            # round-tripping.  Absent for oracle-less indexes, so their
+            # JSON stays byte-identical to pre-oracle builds.
             payload = self.oracle.to_payload()
             out["oracle"] = {k: (v if isinstance(v, (str, list))
                                  else list(v))
@@ -198,8 +199,16 @@ class RoadPartIndex:
             raise IndexFormatError(
                 f"{path}: malformed index payload ({exc})") from exc
         if "oracle" in payload:
+            if not isinstance(payload["oracle"], dict):
+                raise IndexFormatError(
+                    f"{path}: oracle payload is a"
+                    f" {type(payload['oracle']).__name__}, expected an"
+                    f" object")
             try:
-                index.oracle = oracle_from_payload(payload["oracle"])
+                index.oracle = oracle_from_payload(
+                    payload["oracle"], network.num_vertices, path)
+            except IndexFormatError:
+                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise IndexFormatError(
                     f"{path}: malformed oracle payload ({exc})") from exc
@@ -250,8 +259,10 @@ class RoadPartIndex:
         index = cls(network, payload.border_vertex_ids, regions, bridges)
         if payload.oracle is not None:
             # The oracle arrays are views over the same mapping -- label
-            # lookups read the page cache directly, no materialisation.
-            index.oracle = oracle_from_payload(payload.oracle)
+            # lookups read the page cache directly, no materialisation;
+            # the load-time checks read them in place too.
+            index.oracle = oracle_from_payload(
+                payload.oracle, network.num_vertices, path)
             index.stats.oracle_kind = index.oracle.kind
             index.stats.oracle_entries = index.oracle.entry_count()
         # The memoryviews above alias the mapping; keep it alive for
@@ -290,14 +301,12 @@ def build_index(network: RoadNetwork, border_count: int,
     across that many fork workers (see
     :mod:`repro.core.roadpart.parallel`); the resulting index is
     byte-identical to a serial build.  Platforms without ``fork`` fall
-    back to the serial loop silently.  ``engine`` is honoured end to
-    end: it selects the A* kernel for the cuts (``'flat'``/``'dict'``;
-    identical cuts either way, see :mod:`repro.shortestpath.flat`), the
-    in-zone flood pass (``'numpy'`` runs the array-backed
-    :class:`~repro.core.roadpart.labeling.FloodEngine`) and the
-    hub-oracle builder (``'numpy'`` runs the batched
-    :class:`~repro.shortestpath.vec.VecHubLabeler`).  Every engine --
-    and any ``jobs``/``engine`` combination -- produces a
+    back to the serial loop silently.  ``engine`` selects the A*
+    kernel for the cuts (``'flat'``/``'dict'``; identical cuts either
+    way, see :mod:`repro.shortestpath.flat`) and the in-zone flood pass
+    (``'numpy'`` runs the array-backed
+    :class:`~repro.core.roadpart.labeling.FloodEngine`).  Every engine
+    -- and any ``jobs``/``engine`` combination -- produces a
     **byte-identical index**; the vectorized passes are pure speed
     knobs that degrade to scalar without a backend or under
     ``REPRO_VEC_DISABLE``.
@@ -306,7 +315,11 @@ def build_index(network: RoadNetwork, border_count: int,
     :mod:`repro.shortestpath.oracle`) adds a distance-oracle
     construction phase after labelling; the oracle runs in the parent
     process in both the serial and fork-parallel paths, so parallel
-    builds stay byte-identical to serial ones.
+    builds stay byte-identical to serial ones.  The hub-oracle builder
+    is chosen by the array backend, not ``engine``: the batched
+    :class:`~repro.shortestpath.vec.VecHubLabeler` whenever NumPy is
+    present, the scalar one otherwise (``stats.oracle_engine`` names
+    the one that ran).
 
     ``trace`` (optional, see :mod:`repro.obs.trace`) records a nested
     span tree of the build: ``bridges`` / ``contour`` / ``labeling`` with
@@ -370,18 +383,15 @@ def build_index(network: RoadNetwork, border_count: int,
 
     built_oracle = None
     if resolve_oracle_kind(oracle, bridges) != "none":
-        from repro.shortestpath.flat import resolve_engine
         step = time.perf_counter()
         with trace.span("oracle"):
             built_oracle = build_oracle(network, oracle, sorted(bridges),
                                         region_of=regions.region_of,
-                                        trace=trace, engine=engine)
+                                        trace=trace)
         stats.oracle_seconds = time.perf_counter() - step
         stats.oracle_kind = built_oracle.kind
         stats.oracle_entries = built_oracle.entry_count()
-        stats.oracle_engine = (
-            "vectorized" if built_oracle.kind == "hub"
-            and resolve_engine(engine) == "numpy" else "scalar")
+        stats.oracle_engine = built_oracle.builder
 
     stats.build_seconds = time.perf_counter() - started
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.network import RoadNetwork
@@ -170,6 +171,21 @@ class HubLabelIndex:
         convention."""
         return self._labels[v]
 
+    def label_arrays(self) -> Tuple[array, array, array]:
+        """The labels as canonical flat typed arrays ``(offsets,
+        label_hubs, label_dists)`` (typecodes ``'I'``, ``'I'``,
+        ``'d'``): per-vertex segments in hub processing order, the one
+        storage form :class:`~repro.shortestpath.oracle.HubOracle`
+        holds and the binary index writes."""
+        offsets = array("I", [0])
+        label_hubs = array("I")
+        label_dists = array("d")
+        for label in self._labels:
+            label_hubs.extend(label)
+            label_dists.extend(label.values())
+            offsets.append(len(label_hubs))
+        return offsets, label_hubs, label_dists
+
     @property
     def network(self) -> RoadNetwork:
         return self._network
@@ -186,3 +202,12 @@ class HubLabelIndex:
         """Estimate the footprint: 4-byte hub id + 8-byte distance per
         entry."""
         return 12 * self.total_label_entries()
+
+
+def pruned_labeling(network: RoadNetwork, hubs: Sequence[int],
+                    ) -> Tuple[array, array, array]:
+    """Run the scalar partial PLL over ``hubs`` (in order) and return
+    its canonical flat label arrays -- the reference the batched
+    :func:`~repro.shortestpath.vec.vec_pruned_labeling` must match
+    entry for entry."""
+    return HubLabelIndex(network, hubs=hubs).label_arrays()

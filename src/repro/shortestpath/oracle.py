@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import IndexFormatError
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.bidirectional import _in_domain
@@ -153,6 +155,9 @@ class DistanceOracle:
     """Interface both oracle kinds implement."""
 
     kind: str = "none"
+    #: The construction kernel that built this oracle: ``"scalar"``, or
+    #: ``"vectorized"`` for the batched hub-label builder.
+    builder: str = "scalar"
 
     def covers(self, u: int, v: int) -> bool:
         """True when the oracle answers ``(x, u)`` / ``(x, v)`` pairs
@@ -238,105 +243,78 @@ class HubOracle(DistanceOracle):
 
     Exact for every pair with a hub endpoint -- the coverage is the hub
     set itself, which is why :meth:`covers` tests endpoint membership.
-    Labels live either as the builder's per-vertex dicts or as flat
-    offset/hub/distance arrays (zero-copy views over an mmap-loaded
-    binary index); :meth:`label_items` hides the difference.
+    Labels have one storage form, flat CSR-style typed arrays:
+    ``offsets`` and ``label_hubs`` of u32, ``label_dists`` of f64 --
+    :class:`array.array` after a build or a JSON load, zero-copy
+    ``memoryview`` casts over an mmap-loaded binary index.
     """
 
     kind = "hub"
 
-    def __init__(self, hub_order: Sequence[int],
-                 label_dicts: Optional[List[Dict[int, float]]] = None,
-                 offsets: Optional[Sequence[int]] = None,
-                 label_hubs: Optional[Sequence[int]] = None,
-                 label_dists: Optional[Sequence[float]] = None) -> None:
+    def __init__(self, hub_order: Sequence[int], offsets: Sequence[int],
+                 label_hubs: Sequence[int],
+                 label_dists: Sequence[float]) -> None:
         self._hub_order: Tuple[int, ...] = tuple(hub_order)
         self._hub_set: FrozenSet[int] = frozenset(self._hub_order)
-        self._label_dicts = label_dicts
         self._offsets = offsets
         self._label_hubs = label_hubs
         self._label_dists = label_dists
-        if label_dicts is None and offsets is None:
-            raise ValueError("HubOracle needs label dicts or flat arrays")
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def build(cls, network: RoadNetwork, bridges: Iterable[Tuple[int, int]],
               region_of: Optional[Sequence[int]] = None,
-              trace: Optional[TraceRecorder] = None,
-              engine: str = "flat") -> "HubOracle":
+              trace: Optional[TraceRecorder] = None) -> "HubOracle":
         """Run the per-region construction phase.
 
-        Hubs are the distinct bridge endpoints, grouped by region (when
-        ``region_of`` is given) and ordered by descending degree inside
-        each group -- deterministic, so serial and fork-parallel index
+        Hubs are the distinct bridge endpoints in :func:`hub_groups`
+        order -- deterministic, so serial and fork-parallel index
         builds produce byte-identical oracles.  Each region group gets
         its own ``region-<id>`` trace span under a ``pll-scalar`` or
         ``pll-vectorized`` span naming the builder that ran, under the
-        caller's ``oracle`` span.
+        caller's ``oracle`` span; :attr:`builder` records the same.
 
-        ``engine="numpy"`` routes construction through the batched
-        :class:`~repro.shortestpath.vec.VecHubLabeler`; the labels --
-        and therefore the serialised index, JSON or binary -- are
-        byte-identical to the scalar builder's, so the engine is a pure
-        speed knob (and quietly degrades to scalar without a backend,
-        exactly like the query-side engines).
+        The builder is chosen by the array backend, not ``--engine``,
+        the same way :meth:`scratch` picks its kernel: with NumPy the
+        batched :class:`~repro.shortestpath.vec.VecHubLabeler`, on a
+        stdlib-only install or under ``REPRO_VEC_DISABLE`` the scalar
+        :class:`~repro.shortestpath.hub_labels.HubLabelIndex`.  Their
+        labels -- and so the serialised index, JSON or binary -- are
+        byte-identical, so the pick never changes an answer.
         """
-        from repro.shortestpath.flat import resolve_engine
+        from repro.vec.backend import has_backend
         trace = resolve_trace(trace)
-        endpoints = sorted({e for bridge in bridges for e in bridge})
-        groups: List[Tuple[Optional[int], List[int]]] = []
-        if region_of is None:
-            groups.append((None, endpoints))
-        else:
-            by_region: Dict[int, List[int]] = {}
-            for e in endpoints:
-                by_region.setdefault(region_of[e], []).append(e)
-            groups = [(rid, by_region[rid]) for rid in sorted(by_region)]
-        ordered = [(rid, sorted(members,
-                                key=lambda v: (-network.degree(v), v)))
-                   for rid, members in groups]
-        if resolve_engine(engine) == "numpy":
+        groups = hub_groups(network, bridges, region_of)
+        planned = [e for _, members in groups for e in members]
+        if has_backend():
             # Lazy import: vec.py imports this module at top level.
             from repro.shortestpath.vec import VecHubLabeler
-            planned = [e for _, members in ordered for e in members]
             labeler = VecHubLabeler(network, planned)
-            with trace.span("pll-vectorized"):
-                for rid, members in ordered:
-                    label = ("region-all" if rid is None
-                             else f"region-{rid}")
-                    with trace.span(label):
-                        for e in members:
-                            labeler.add_hub(e)
-            offsets, label_hubs, label_dists = labeler.label_arrays()
-            return cls(tuple(planned), offsets=offsets,
-                       label_hubs=label_hubs, label_dists=label_dists)
-        index = HubLabelIndex(network, hubs=())
-        with trace.span("pll-scalar"):
-            for rid, members in ordered:
+            builder, span = "vectorized", "pll-vectorized"
+        else:
+            labeler = HubLabelIndex(network, hubs=())
+            builder, span = "scalar", "pll-scalar"
+        with trace.span(span):
+            for rid, members in groups:
                 label = "region-all" if rid is None else f"region-{rid}"
                 with trace.span(label):
                     for e in members:
-                        index.add_hub(e)
-        n = network.num_vertices
-        return cls(index.hubs,
-                   label_dicts=[index.label_of(v) for v in range(n)])
+                        labeler.add_hub(e)
+        oracle = cls(planned, *labeler.label_arrays())
+        oracle.builder = builder
+        return oracle
 
     # -- storage -------------------------------------------------------
 
     def label_items(self, x: int) -> Iterable[Tuple[int, float]]:
         """The label of vertex ``x`` as ``(hub, dist)`` pairs, in hub
         processing order (the canonical serialisation order)."""
-        if self._label_dicts is not None:
-            return self._label_dicts[x].items()
         lo = self._offsets[x]
         hi = self._offsets[x + 1]
         return zip(self._label_hubs[lo:hi], self._label_dists[lo:hi])
 
     def num_vertices(self) -> int:
-        if self._label_dicts is not None:
-            return len(self._label_dicts)
         return len(self._offsets) - 1
 
     @property
@@ -359,8 +337,6 @@ class HubOracle(DistanceOracle):
         return _HubScratch(self, targets)
 
     def entry_count(self) -> int:
-        if self._label_dicts is not None:
-            return sum(len(label) for label in self._label_dicts)
         return len(self._label_hubs)
 
     def oracle_bytes(self) -> int:
@@ -373,17 +349,33 @@ class HubOracle(DistanceOracle):
                 f" (covers (x, endpoint) pairs)")
 
     def to_payload(self) -> Dict[str, object]:
-        offsets: List[int] = [0]
-        hubs: List[int] = []
-        dists: List[float] = []
-        for x in range(self.num_vertices()):
-            for h, d in self.label_items(x):
-                hubs.append(h)
-                dists.append(d)
-            offsets.append(len(hubs))
+        # The label arrays are handed over as stored: the binary writer
+        # dumps each with one buffer copy, the JSON writer lists them.
         return {"kind": "hub", "hubs": list(self._hub_order),
-                "offsets": offsets, "label_hubs": hubs,
-                "label_dists": dists}
+                "offsets": self._offsets, "label_hubs": self._label_hubs,
+                "label_dists": self._label_dists}
+
+
+def hub_groups(network: RoadNetwork, bridges: Iterable[Tuple[int, int]],
+               region_of: Optional[Sequence[int]] = None,
+               ) -> List[Tuple[Optional[int], List[int]]]:
+    """The hub processing plan of :meth:`HubOracle.build`.
+
+    Hubs are the distinct bridge endpoints, grouped by region (when
+    ``region_of`` is given; one ``None`` group otherwise) in region id
+    order and ordered by descending degree inside each group.  Any hub
+    order is correct; this one is deterministic.
+    """
+    endpoints = sorted({e for bridge in bridges for e in bridge})
+    if region_of is None:
+        groups: List[Tuple[Optional[int], List[int]]] = [(None, endpoints)]
+    else:
+        by_region: Dict[int, List[int]] = {}
+        for e in endpoints:
+            by_region.setdefault(region_of[e], []).append(e)
+        groups = [(rid, by_region[rid]) for rid in sorted(by_region)]
+    return [(rid, sorted(members, key=lambda v: (-network.degree(v), v)))
+            for rid, members in groups]
 
 
 # ----------------------------------------------------------------------
@@ -555,15 +547,15 @@ def build_oracle(network: RoadNetwork, kind: str,
                  bridges: Iterable[Tuple[int, int]],
                  region_of: Optional[Sequence[int]] = None,
                  trace: Optional[TraceRecorder] = None,
-                 engine: str = "flat") -> Optional[DistanceOracle]:
+                 ) -> Optional[DistanceOracle]:
     """Build the oracle a policy resolves to (``None`` for none).
 
     ``bridges`` may be any iterable, a generator included: it is
     materialised exactly once here, so the ``auto`` emptiness probe and
     the hub-endpoint collection see the same elements (a generator used
     to be drained by the probe, leaving the hub build with no
-    endpoints).  ``engine`` selects the hub-label builder; the CH
-    contraction has no vectorized path and ignores it.
+    endpoints).  The hub builder is chosen by the array backend (see
+    :meth:`HubOracle.build`); the CH contraction has one builder.
     """
     bridges = list(bridges)
     resolved = resolve_oracle_kind(kind, bridges)
@@ -571,19 +563,147 @@ def build_oracle(network: RoadNetwork, kind: str,
         return None
     if resolved == "hub":
         return HubOracle.build(network, bridges, region_of=region_of,
-                               trace=trace, engine=engine)
+                               trace=trace)
     return CHOracle.build(network, trace=trace)
 
 
-def oracle_from_payload(payload: Dict[str, object]) -> DistanceOracle:
+#: Binary section tag of each hub payload array, named in load errors.
+_HUB_SECTIONS = {"hubs": "orhubs", "offsets": "orloff",
+                 "label_hubs": "orlhub", "label_dists": "orldst"}
+
+
+def _hub_section_error(path, key: str, problem: str) -> IndexFormatError:
+    return IndexFormatError(
+        f"{path}: oracle section {_HUB_SECTIONS[key]!r} ({key}):"
+        f" {problem}")
+
+
+def _typed(path, key: str, values, code: str):
+    """``values`` as a typed array of ``code``: a typed array or view
+    of that code passes through uncopied (mmap views stay zero-copy),
+    anything else (JSON lists) is converted once."""
+    if isinstance(values, array) and values.typecode == code:
+        return values
+    if isinstance(values, memoryview) and values.format == code:
+        return values
+    try:
+        return array(code, values)
+    except (TypeError, OverflowError) as exc:
+        kind = "u32" if code == "I" else "f64"
+        raise _hub_section_error(path, key,
+                                 f"not {kind} values ({exc})") from exc
+
+
+#: Label entries per gather in :func:`_label_arrays_sound`.
+_CHECK_SLICE = 1 << 16
+
+
+def _label_arrays_sound(np, n: int, hubs: Sequence[int],
+                        offsets: Sequence[int], label_hubs: Sequence[int],
+                        label_dists: Sequence[float]) -> bool:
+    """The label-sized checks of :func:`_check_hub_labels` as NumPy
+    reductions over zero-copy views: True when all of them pass."""
+    offs = np.asarray(offsets)
+    if (offs[1:] < offs[:-1]).any():
+        return False
+    lh = np.asarray(label_hubs)
+    if lh.size:
+        if int(lh.max()) >= n:
+            return False
+        is_hub = np.zeros(n, dtype=bool)
+        is_hub[np.asarray(hubs, dtype=np.intp)] = True
+        # Gathered in slices: ``take`` widens its indices to intp, and a
+        # whole-array copy would raise a serving daemon's peak memory.
+        for lo in range(0, lh.size, _CHECK_SLICE):
+            if not np.take(is_hub, lh[lo:lo + _CHECK_SLICE]).all():
+                return False
+    ld = np.asarray(label_dists)
+    return not ld.size or bool(ld.min() >= 0 and ld.max() < math.inf)
+
+
+def _check_hub_labels(path, n: int, hubs: Sequence[int],
+                      offsets: Sequence[int], label_hubs: Sequence[int],
+                      label_dists: Sequence[float]) -> None:
+    """Reject hub-label arrays no builder could have written.
+
+    A corrupt offset, hub id or distance would otherwise surface at
+    query time as an IndexError, or silently as a wrong distance (a
+    label hub outside the hub order indexes the scratch's rank array
+    at -1).  With the array backend up the label-sized checks run as
+    NumPy reductions over the zero-copy views, and the plain-Python
+    pass that locates the first defect runs only when they fail.
+    """
+    if len(offsets) != n + 1:
+        raise _hub_section_error(
+            path, "offsets", f"holds {len(offsets)} offsets, expected"
+            f" num_vertices + 1 = {n + 1}")
+    if offsets[0] != 0:
+        raise _hub_section_error(
+            path, "offsets", f"starts at {offsets[0]}, expected 0")
+    if offsets[n] != len(label_hubs):
+        raise _hub_section_error(
+            path, "offsets", f"ends at {offsets[n]}, but there are"
+            f" {len(label_hubs)} label entries")
+    if len(label_dists) != len(label_hubs):
+        raise _hub_section_error(
+            path, "label_dists", f"holds {len(label_dists)} distances"
+            f" for {len(label_hubs)} label entries")
+    seen: Set[int] = set()
+    for h in hubs:
+        if not h < n:
+            raise _hub_section_error(
+                path, "hubs", f"hub id {h} out of range (num_vertices"
+                f" {n})")
+        if h in seen:
+            raise _hub_section_error(path, "hubs",
+                                     f"hub id {h} appears twice")
+        seen.add(h)
+    from repro.vec.backend import xp
+    np = xp()
+    if np is not None and _label_arrays_sound(np, n, hubs, offsets,
+                                              label_hubs, label_dists):
+        return
+    for v in range(n):
+        if offsets[v + 1] < offsets[v]:
+            raise _hub_section_error(
+                path, "offsets", f"decrease at vertex {v}"
+                f" ({offsets[v]} -> {offsets[v + 1]})")
+    for i, h in enumerate(label_hubs):
+        if h not in seen:
+            raise _hub_section_error(
+                path, "label_hubs", f"label entry {i} names vertex {h},"
+                f" which is not a hub")
+    for i, d in enumerate(label_dists):
+        if not 0 <= d < math.inf:
+            raise _hub_section_error(
+                path, "label_dists", f"label entry {i} has distance"
+                f" {d!r}; distances must be finite and >= 0")
+
+
+def oracle_from_payload(payload: Dict[str, object],
+                        num_vertices: Optional[int] = None,
+                        path: object = "oracle payload",
+                        ) -> DistanceOracle:
     """Rehydrate an oracle from its flat-array payload (JSON lists or
-    zero-copy binary views -- both index loaders funnel through here)."""
+    zero-copy binary views -- both index loaders funnel through here).
+
+    A hub payload is validated first (see :func:`_check_hub_labels`):
+    any defect raises :class:`~repro.errors.IndexFormatError` naming
+    ``path`` and the section.  ``num_vertices`` defaults to the length
+    the offsets imply; the loaders pass the network's.
+    """
     kind = payload.get("kind")
     if kind == "hub":
-        return HubOracle(payload["hubs"],
-                         offsets=payload["offsets"],
-                         label_hubs=payload["label_hubs"],
-                         label_dists=payload["label_dists"])
+        hubs = _typed(path, "hubs", payload["hubs"], "I")
+        offsets = _typed(path, "offsets", payload["offsets"], "I")
+        label_hubs = _typed(path, "label_hubs", payload["label_hubs"], "I")
+        label_dists = _typed(path, "label_dists", payload["label_dists"],
+                             "d")
+        if num_vertices is None:
+            num_vertices = max(len(offsets) - 1, 0)
+        _check_hub_labels(path, num_vertices, hubs, offsets, label_hubs,
+                          label_dists)
+        return HubOracle(hubs, offsets, label_hubs, label_dists)
     if kind == "ch":
         return CHOracle(payload["rank"],
                         up_offsets=payload["offsets"],

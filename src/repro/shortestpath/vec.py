@@ -68,6 +68,7 @@ ranges over the same ``a + dx`` candidate multiset as
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph.csr import CSRGraph
@@ -765,18 +766,19 @@ class VecHubLabeler:
     def total_label_entries(self) -> int:
         return sum(int(rv.size) for rv in self._rank_verts)
 
-    def label_arrays(self) -> Tuple[List[int], List[int], List[float]]:
-        """The committed labels as canonical flat arrays
-        ``(offsets, label_hubs, label_dists)`` -- plain Python lists,
-        per-vertex segments ordered by hub processing rank, exactly the
-        scalar builder's dict insertion order."""
+    def label_arrays(self) -> Tuple[array, array, array]:
+        """The committed labels as canonical flat typed arrays
+        ``(offsets, label_hubs, label_dists)`` (typecodes ``'I'``,
+        ``'I'``, ``'d'``) -- per-vertex segments ordered by hub
+        processing rank, exactly the scalar builder's dict insertion
+        order.  No per-entry Python object is made on the way."""
         np = self._np
         if len(self._rank_verts) != len(self._planned):
             raise ValueError(
                 f"only {len(self._rank_verts)} of {len(self._planned)}"
                 " planned hubs were added")
-        if not self._rank_verts or self.total_label_entries() == 0:
-            return [0] * (self._n + 1), [], []
+        if self.total_label_entries() == 0:
+            return array("I", [0]) * (self._n + 1), array("I"), array("d")
         all_v = np.concatenate(self._rank_verts)
         all_r = np.concatenate(
             [np.full(rv.size, r, dtype=np.int64)
@@ -789,18 +791,28 @@ class VecHubLabeler:
         offsets = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         hub_ids = np.asarray(self._planned, dtype=np.int64)
-        return (offsets.tolist(), hub_ids[all_r[order]].tolist(),
-                all_d[order].tolist())
+        return (_typed_array(np, offsets, "I"),
+                _typed_array(np, hub_ids[all_r[order]], "I"),
+                _typed_array(np, all_d[order], "d"))
+
+
+def _typed_array(np, values, code: str) -> array:
+    """Copy a numpy array into an :class:`array.array` of ``code`` (the
+    dtype numpy names by the same C type), through the raw buffer."""
+    out = array(code)
+    out.frombytes(np.ascontiguousarray(values, dtype=np.dtype(code))
+                  .view(np.uint8))
+    return out
 
 
 def vec_pruned_labeling(network: Union[RoadNetwork, CSRGraph],
                         hubs: Sequence[int],
-                        ) -> Tuple[List[int], List[int], List[float]]:
+                        ) -> Tuple[array, array, array]:
     """Run the batched PLL build over ``hubs`` (in order) and return
     the canonical flat label arrays ``(offsets, label_hubs,
     label_dists)`` -- entry-for-entry identical to the scalar
-    :class:`~repro.shortestpath.hub_labels.HubLabelIndex` built with
-    ``hubs=hubs`` (see :class:`VecHubLabeler`)."""
+    :func:`~repro.shortestpath.hub_labels.pruned_labeling` over the
+    same ``hubs`` (see :class:`VecHubLabeler`)."""
     labeler = VecHubLabeler(network, hubs)
     for hub in labeler.planned:
         labeler.add_hub(hub)
@@ -849,8 +861,8 @@ class VecHubScratch(OracleScratch):
                 counts = np.zeros(0, dtype=np.int64)
                 entry_hub = np.zeros(0, dtype=np.int64)
                 entry_dist = np.zeros(0, dtype=np.float64)
-            elif oracle._label_dicts is None:
-                # Flat label arrays (JSON lists or zero-copy views over
+            else:
+                # Flat label arrays (typed arrays or zero-copy views over
                 # the mmapped v2 binary): pure array gather.
                 offs = np.asarray(oracle._offsets).astype(np.int64,
                                                           copy=False)
@@ -863,21 +875,6 @@ class VecHubScratch(OracleScratch):
                 k = _expand_ranges(np, starts, counts, total)
                 entry_hub = hubs_all[k].astype(np.int64, copy=False)
                 entry_dist = dists_all[k].astype(np.float64, copy=False)
-            else:
-                # Builder-side dicts: one flattening pass per query
-                # (same O(total entries) _HubScratch pays per bucket).
-                hubs_l: List[int] = []
-                dists_l: List[float] = []
-                counts_l: List[int] = []
-                for x in self._targets:
-                    before = len(hubs_l)
-                    for h, d in oracle.label_items(x):
-                        hubs_l.append(h)
-                        dists_l.append(d)
-                    counts_l.append(len(hubs_l) - before)
-                counts = np.asarray(counts_l, dtype=np.int64)
-                entry_hub = np.asarray(hubs_l, dtype=np.int64)
-                entry_dist = np.asarray(dists_l, dtype=np.float64)
             offsets = np.cumsum(counts) - counts
             entry_rank = rank[entry_hub] if entry_hub.size else entry_hub
             self._arrays = (np, rank, len(hub_order), entry_rank,

@@ -12,7 +12,8 @@ the package imports it at module-import time, and every consumer
 degrades gracefully when :func:`has_backend` is false -- the engine
 registry resolves ``engine="numpy"`` to ``"flat"`` (with the one-line
 :func:`notice_fallback` on stderr, once per process) and
-``HubOracle.scratch`` keeps handing out the pure-Python dict scratch.
+``HubOracle.scratch`` keeps handing out the pure-Python dict scratch
+and ``HubOracle.build`` runs the scalar PLL builder.
 The pure-stdlib install therefore works end to end, byte-identically.
 
 Set ``REPRO_VEC_DISABLE=1`` to force the stdlib paths with numpy

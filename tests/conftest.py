@@ -17,6 +17,7 @@ from repro.core.roadpart.index import build_index
 from repro.datasets.queries import window_query
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.graph.network import RoadNetwork
+from repro.vec.backend import ENV_DISABLE, reset_backend_probe
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +100,22 @@ def medium_index(medium_network):
 def medium_query(medium_network) -> DPSQuery:
     """A Q-DPS query of ~8% of the medium network's extent."""
     return DPSQuery.q_query(window_query(medium_network, 0.25, seed=21))
+
+
+@pytest.fixture
+def no_vec_backend(monkeypatch):
+    """Switch the array backend off (``REPRO_VEC_DISABLE``) for one
+    test, re-probing on the way in and out."""
+    monkeypatch.setenv(ENV_DISABLE, "1")
+    reset_backend_probe()
+    yield
+    monkeypatch.delenv(ENV_DISABLE)
+    reset_backend_probe()
+
+
+@pytest.fixture(params=["backend", "stdlib"])
+def either_backend(request):
+    """Run a test once as installed and once with the backend off."""
+    if request.param == "stdlib":
+        request.getfixturevalue("no_vec_backend")
+    return request.param

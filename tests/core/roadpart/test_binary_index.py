@@ -9,6 +9,7 @@ produces, and any structural defect in the file must surface as an
 from __future__ import annotations
 
 import struct
+from array import array
 
 import pytest
 
@@ -158,3 +159,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="u32"):
             binfmt.write_index_binary(
                 tmp_path / "x.bin", 1, [2 ** 40], [0], [((1, 1),)], [])
+
+    def test_typed_arrays_write_the_per_value_bytes(self):
+        """u32/f64 typed arrays (and views of them) take the one-copy
+        path and produce exactly the per-value encoding; any other
+        input still goes value by value and still rejects what does
+        not fit in u32."""
+        values = [0, 1, 7, 0xFFFFFFFF]
+        dists = [0.0, 1.5, 2.0 ** -30, 1e300]
+        expect_u32 = b"".join(struct.pack("<I", v) for v in values)
+        expect_f64 = b"".join(struct.pack("<d", d) for d in dists)
+        assert binfmt._u32_bytes(values) == expect_u32
+        assert binfmt._u32_bytes(array("I", values)) == expect_u32
+        assert (binfmt._u32_bytes(memoryview(array("I", values)))
+                == expect_u32)
+        assert binfmt._f64_bytes(dists) == expect_f64
+        assert binfmt._f64_bytes(array("d", dists)) == expect_f64
+        for bad in ([2 ** 32], [-1], array("q", [2 ** 32]),
+                    array("q", [-1])):
+            with pytest.raises(ValueError, match="does not fit in u32"):
+                binfmt._u32_bytes(bad)

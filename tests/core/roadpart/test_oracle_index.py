@@ -17,6 +17,7 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -159,6 +160,97 @@ class TestSerialisation:
         bad.write_text(json.dumps(doc))
         with pytest.raises(IndexFormatError, match="oracle"):
             RoadPartIndex.load(bad, medium_network)
+
+    def test_non_object_json_oracle_payload_raises(self, saved_v2,
+                                                   medium_network,
+                                                   tmp_path):
+        json_path, _ = saved_v2
+        doc = json.loads(json_path.read_text())
+        doc["oracle"] = [1, 2]
+        bad = tmp_path / "listed.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError,
+                           match=r"listed\.json: oracle payload is a list"):
+            RoadPartIndex.load(bad, medium_network)
+
+
+def _u32(value):
+    return struct.pack("<I", value)
+
+
+class TestCorruptOracleSections:
+    """One corrupt word in any hub-oracle section of a built v2 file
+    fails the load with an IndexFormatError naming the path and the
+    section -- never an IndexError or a wrong distance at query
+    time."""
+
+    @staticmethod
+    def _corrupt(bin_path, out, tag, word, value):
+        blob = bytearray(bin_path.read_bytes())
+        offset, length = binfmt.read_header(bin_path).sections[
+            tag.encode("ascii")]
+        assert 4 * word + 4 <= length
+        blob[offset + 4 * word:offset + 4 * word + 4] = value
+        out.write_bytes(bytes(blob))
+        return out
+
+    def _cases(self, hub_index):
+        oracle = hub_index.oracle
+        n = oracle.num_vertices()
+        hubs = oracle.hub_order
+        non_hub = min(set(range(n)) - set(hubs))
+        # A vertex in the middle whose offset is below the next one.
+        mid = n // 2
+        return [
+            ("orloff", 0, _u32(1), "starts at 1"),
+            ("orloff", mid, _u32(0xFFFFFFFF), f"decrease at vertex {mid}"),
+            ("orloff", n, _u32(0), "ends at 0"),
+            ("orhubs", 1, _u32(hubs[0]), "appears twice"),
+            ("orhubs", 0, _u32(n), "out of range"),
+            ("orlhub", 0, _u32(non_hub), "not a hub"),
+            ("orlhub", 3, _u32(0xFFFFFFFF), "not a hub"),
+            # High word of the first f64: 0xBFF0.... is a negative
+            # double, 0xFFF8.... a NaN, 0x7FF0.... with a zero low
+            # word is +inf (or a NaN otherwise).
+            ("orldst", 1, _u32(0xBFF00000), "finite and >= 0"),
+            ("orldst", 1, _u32(0xFFF80000), "finite and >= 0"),
+            ("orldst", 1, _u32(0x7FF00000), "finite and >= 0"),
+        ]
+
+    def test_each_section_fails_loudly(self, either_backend, saved_v2,
+                                       hub_index, medium_network,
+                                       tmp_path):
+        _, bin_path = saved_v2
+        for i, (tag, word, value, problem) in enumerate(
+                self._cases(hub_index)):
+            bad = self._corrupt(bin_path, tmp_path / f"bad{i}.bin", tag,
+                                word, value)
+            with pytest.raises(IndexFormatError) as excinfo:
+                RoadPartIndex.load_binary(bad, medium_network)
+            message = str(excinfo.value)
+            assert f"bad{i}.bin" in message, message
+            assert repr(tag) in message, message
+            assert problem in message, message
+
+    def test_json_non_hub_label_names_section(self, either_backend, saved_v2,
+                                              hub_index, medium_network,
+                                              tmp_path):
+        json_path, _ = saved_v2
+        doc = json.loads(json_path.read_text())
+        hubs = set(doc["oracle"]["hubs"])
+        doc["oracle"]["label_hubs"][0] = min(
+            set(range(medium_network.num_vertices)) - hubs)
+        bad = tmp_path / "nonhub.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError,
+                           match=r"nonhub\.json: oracle section 'orlhub'"):
+            RoadPartIndex.load(bad, medium_network)
+
+    def test_intact_file_still_loads(self, either_backend, saved_v2,
+                                     medium_network):
+        _, bin_path = saved_v2
+        loaded = RoadPartIndex.load_binary(bin_path, medium_network)
+        assert loaded.oracle is not None
 
 
 class TestBuildDeterminism:

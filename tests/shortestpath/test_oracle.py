@@ -8,6 +8,7 @@ matches its documentation.
 """
 
 import math
+from array import array
 
 import pytest
 
@@ -101,7 +102,9 @@ class TestPolicyResolution:
         from_gen = build_oracle(network, "auto", (b for b in bridges))
         assert from_gen is not None
         assert from_gen.hub_order == from_list.hub_order
-        assert from_gen.to_payload() == from_list.to_payload()
+        for key in ("offsets", "label_hubs", "label_dists"):
+            assert (list(from_gen.to_payload()[key])
+                    == list(from_list.to_payload()[key]))
 
 
 class TestHubOracle:
@@ -157,20 +160,29 @@ class TestHubOracle:
         assert "hub" in text
         assert str(len(oracle.hub_order)) in text
 
-    def test_numpy_engine_degrades_to_scalar_builder(self, bridged,
-                                                     oracle, monkeypatch):
-        """engine='numpy' without a backend (REPRO_VEC_DISABLE) must run
-        the scalar builder and produce the identical oracle (the
-        standard engine-registry fallback)."""
-        from repro.vec.backend import ENV_DISABLE, reset_backend_probe
+    def test_disabled_backend_runs_scalar_builder(self, bridged, oracle,
+                                                  no_vec_backend):
+        """Without a backend (REPRO_VEC_DISABLE) the build runs the
+        scalar builder, says so, and produces the identical oracle."""
         network, bridges = bridged
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        reset_backend_probe()
-        try:
-            degraded = HubOracle.build(network, bridges, engine="numpy")
-        finally:
-            reset_backend_probe()
-        assert degraded.to_payload() == oracle.to_payload()
+        degraded = HubOracle.build(network, bridges)
+        assert degraded.builder == "scalar"
+        assert degraded.hub_order == oracle.hub_order
+        for key in ("offsets", "label_hubs", "label_dists"):
+            assert (list(degraded.to_payload()[key])
+                    == list(oracle.to_payload()[key]))
+
+    def test_storage_is_typed_arrays(self, oracle):
+        """A built oracle holds its labels as typed arrays and hands
+        the same objects to the serialisers, uncopied."""
+        payload = oracle.to_payload()
+        for key, code in (("offsets", "I"), ("label_hubs", "I"),
+                          ("label_dists", "d")):
+            assert isinstance(payload[key], array)
+            assert payload[key].typecode == code
+            assert oracle.to_payload()[key] is payload[key]
+        assert oracle.entry_count() == len(payload["label_hubs"])
+        assert oracle.num_vertices() == len(payload["offsets"]) - 1
 
 
 class TestCHOracle:
@@ -208,3 +220,48 @@ class TestPayloadValidation:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown oracle payload"):
             oracle_from_payload({"kind": "plateau"})
+
+    @staticmethod
+    def _payload(**override):
+        # Three vertices, hubs 0 and 2: L(0)={0:0}, L(1)={0:1, 2:2},
+        # L(2)={0:3, 2:0}.
+        payload = {"kind": "hub", "hubs": [0, 2],
+                   "offsets": [0, 1, 3, 5],
+                   "label_hubs": [0, 0, 2, 0, 2],
+                   "label_dists": [0.0, 1.0, 2.0, 3.0, 0.0]}
+        payload.update(override)
+        return payload
+
+    def test_well_formed_payload_loads(self, either_backend):
+        oracle = oracle_from_payload(self._payload(), 3, "mem.idx")
+        assert list(oracle.label_items(1)) == [(0, 1.0), (2, 2.0)]
+
+    @pytest.mark.parametrize("override, section, problem", [
+        ({"offsets": [1, 1, 3, 5]}, "orloff", "starts at 1"),
+        ({"offsets": [0, 4, 3, 5]}, "orloff", "decrease at vertex 1"),
+        ({"offsets": [0, 1, 3, 4]}, "orloff", "ends at 4"),
+        ({"offsets": [0, 1, 5]}, "orloff", "holds 3 offsets"),
+        ({"offsets": [0, -1, 3, 5]}, "orloff", "not u32"),
+        ({"hubs": [0, 0]}, "orhubs", "appears twice"),
+        ({"hubs": [0, 7]}, "orhubs", "out of range"),
+        ({"label_hubs": [0, 0, 1, 0, 2]}, "orlhub", "vertex 1, which is"
+                                                    " not a hub"),
+        ({"label_hubs": [0, 0, 9, 0, 2]}, "orlhub", "vertex 9, which is"
+                                                    " not a hub"),
+        ({"label_dists": [0.0, 1.0, -2.0, 3.0, 0.0]}, "orldst",
+         "entry 2"),
+        ({"label_dists": [0.0, 1.0, 2.0, math.nan, 0.0]}, "orldst",
+         "entry 3"),
+        ({"label_dists": [0.0, math.inf, 2.0, 3.0, 0.0]}, "orldst",
+         "entry 1"),
+        ({"label_dists": [0.0, 1.0]}, "orldst", "holds 2 distances"),
+    ])
+    def test_corrupt_hub_payload_names_path_and_section(
+            self, either_backend, override, section, problem):
+        from repro.errors import IndexFormatError
+        with pytest.raises(IndexFormatError) as excinfo:
+            oracle_from_payload(self._payload(**override), 3, "mem.idx")
+        message = str(excinfo.value)
+        assert message.startswith("mem.idx: ")
+        assert repr(section) in message
+        assert problem in message

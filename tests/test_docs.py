@@ -136,7 +136,8 @@ class TestObservabilityDoc:
         stay documented."""
         for needle in ("pll-scalar", "pll-vectorized", "oracle_engine",
                        "bench build", "BUILD_CHECK_RATIO",
-                       "FIG10_REPEATS"):
+                       "FIG10_REPEATS",
+                       "chosen by the array backend, not `--engine`"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
 
@@ -316,6 +317,9 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("VecHubLabeler", "vec_pruned_labeling",
                        "FloodEngine", "bucketed", "byte-identical",
-                       "CuPy", "BUILD_CHECK_RATIO", "bench build"):
+                       "CuPy", "BUILD_CHECK_RATIO", "bench build",
+                       "chosen by the array backend, not `--engine`",
+                       "pruned_labeling", "array.array",
+                       "oracle_from_payload", "orlhub"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
